@@ -32,6 +32,7 @@
 #![warn(missing_docs)]
 
 use hetero_core::numeric::kahan_sum;
+use hetero_core::profile::sort_slowest_first;
 use hetero_core::xbatch::ProfileBatch;
 use hetero_core::Profile;
 use rand::rngs::StdRng;
@@ -273,14 +274,16 @@ impl PairSample {
 /// would allocate per trial, and pushes each accepted pair's *sorted*
 /// ρ-rows directly into the structure-of-arrays arena. The RNG draw
 /// order, the retry policy, the plain-sum target mean, the slowest-first
-/// `total_cmp` sort, and the compensated mean/variance are each the
-/// exact operation sequence of the `Profile`-returning path, so a
-/// batched sweep consumes the same stream and computes bit-identical
-/// statistics (pinned by a test).
+/// sort ([`sort_slowest_first`], as in [`Profile::from_unsorted`]), and
+/// the compensated mean/variance are each the exact operation sequence
+/// of the `Profile`-returning path, so a batched sweep consumes the same
+/// stream and computes bit-identical statistics (pinned by a test). The
+/// sort's key buffer is scratch too, so loading stays allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct PairBatcher {
     raw1: Vec<f64>,
     raw2: Vec<f64>,
+    keys: Vec<u64>,
 }
 
 impl PairBatcher {
@@ -311,8 +314,8 @@ impl PairBatcher {
             // Sort exactly as Profile::from_unsorted does, then take the
             // statistics in sorted order exactly as Profile::mean/variance
             // do — bit-identical to building the profiles.
-            self.raw1.sort_by(|a, b| b.total_cmp(a));
-            self.raw2.sort_by(|a, b| b.total_cmp(a));
+            sort_slowest_first(&mut self.raw1, &mut self.keys);
+            sort_slowest_first(&mut self.raw2, &mut self.keys);
             let (var1, var2) = (variance_of(&self.raw1), variance_of(&self.raw2));
             batch.push(&self.raw1);
             batch.push(&self.raw2);
@@ -434,29 +437,31 @@ mod tests {
     fn pair_batcher_is_bit_identical_to_the_profile_path() {
         // Same seed through both paths: the arena rows must equal the
         // sorted profiles bit for bit, the statistics likewise, and the
-        // two RNGs must stay in lockstep across many trials.
-        for (s1, s2) in [
-            (Shape::Uniform, Shape::Bimodal),
-            (Shape::Concentrated, Shape::Bimodal),
-            (Shape::Uniform, Shape::Uniform),
-        ] {
-            let gen = EqualMeanPairGen::new(GenConfig::new(24), s1, s2);
-            let mut rng_a = rng_from_seed(77);
-            let mut rng_b = rng_from_seed(77);
-            let mut batcher = PairBatcher::new();
-            let mut batch = ProfileBatch::new();
-            for trial in 0..40 {
-                let pair = gen.sample(&mut rng_a).expect("feasible");
-                let stats = batcher
-                    .sample_into(&gen, &mut rng_b, &mut batch)
-                    .expect("feasible");
-                let row1 = batch.rhos_of(batch.len() - 2);
-                let row2 = batch.rhos_of(batch.len() - 1);
-                assert_eq!(row1, pair.p1.rhos(), "trial {trial}");
-                assert_eq!(row2, pair.p2.rhos(), "trial {trial}");
-                assert_eq!(stats.mean.to_bits(), pair.mean.to_bits());
-                assert_eq!(stats.var1.to_bits(), pair.var1.to_bits());
-                assert_eq!(stats.var2.to_bits(), pair.var2.to_bits());
+        // two RNGs must stay in lockstep across many trials, from
+        // one-computer rows up to the sweeps' largest size.
+        const SHAPES: [Shape; 3] = [Shape::Uniform, Shape::Bimodal, Shape::Concentrated];
+        let bits = |rhos: &[f64]| rhos.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        for n in [1, 2, 20, 21, 64, 1024] {
+            for (s1, s2) in SHAPES.into_iter().flat_map(|a| SHAPES.map(|b| (a, b))) {
+                let gen = EqualMeanPairGen::new(GenConfig::new(n), s1, s2);
+                let mut rng_a = rng_from_seed(77);
+                let mut rng_b = rng_from_seed(77);
+                let mut batcher = PairBatcher::new();
+                let mut batch = ProfileBatch::new();
+                for trial in 0..40 {
+                    let case = format!("n = {n}, {s1:?}/{s2:?}, trial {trial}");
+                    let pair = gen.sample(&mut rng_a).expect("feasible");
+                    let stats = batcher
+                        .sample_into(&gen, &mut rng_b, &mut batch)
+                        .expect("feasible");
+                    let row1 = batch.rhos_of(batch.len() - 2);
+                    let row2 = batch.rhos_of(batch.len() - 1);
+                    assert_eq!(bits(row1), bits(pair.p1.rhos()), "{case}");
+                    assert_eq!(bits(row2), bits(pair.p2.rhos()), "{case}");
+                    assert_eq!(stats.mean.to_bits(), pair.mean.to_bits(), "{case}");
+                    assert_eq!(stats.var1.to_bits(), pair.var1.to_bits(), "{case}");
+                    assert_eq!(stats.var2.to_bits(), pair.var2.to_bits(), "{case}");
+                }
             }
         }
     }

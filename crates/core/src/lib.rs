@@ -80,12 +80,12 @@
 
 mod error;
 mod params;
-mod profile;
 
 pub mod fastnum;
 pub mod hcompress;
 pub mod hecr;
 pub mod numeric;
+pub mod profile;
 pub mod selection;
 pub mod speedup;
 pub mod xbatch;

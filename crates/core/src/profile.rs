@@ -48,14 +48,14 @@ impl Profile {
     }
 
     /// Builds a profile from ρ-values in any order (sorts them slowest
-    /// first).
+    /// first with [`sort_slowest_first`]).
     pub fn from_unsorted(mut rhos: Vec<f64>) -> Result<Self, ModelError> {
         for (index, &value) in rhos.iter().enumerate() {
             if !(value.is_finite() && value > 0.0) {
                 return Err(ModelError::InvalidRho { index, value });
             }
         }
-        rhos.sort_by(|a, b| b.total_cmp(a));
+        sort_slowest_first(&mut rhos, &mut Vec::new());
         Self::new(rhos)
     }
 
@@ -169,6 +169,42 @@ impl Profile {
         rhos[index] = rho;
         Self::from_unsorted(rhos)
     }
+}
+
+/// Sorts `rhos` slowest first: the result is bit-identical to
+/// `rhos.sort_by(|a, b| b.total_cmp(a))` for every input, NaNs and signed
+/// zeros included.
+///
+/// The values are sorted as `u64` keys that preserve `total_cmp` order
+/// (the sign-flip `f64::total_cmp` uses internally, inverted for
+/// descending order), with an unstable sort. That is exact: two values
+/// equal under `total_cmp` have identical bits, so no reordering among
+/// them is visible. `keys` is scratch, reused across calls so a caller in
+/// a loop sorts without allocating.
+///
+/// ```
+/// use hetero_core::profile::sort_slowest_first;
+/// let mut rhos: Vec<f64> = (1..=64).map(|i| 1.0 / i as f64).rev().collect();
+/// sort_slowest_first(&mut rhos, &mut Vec::new());
+/// assert_eq!(rhos[0], 1.0);
+/// assert_eq!(rhos[63], 1.0 / 64.0);
+/// ```
+pub fn sort_slowest_first(rhos: &mut [f64], keys: &mut Vec<u64>) {
+    keys.clear();
+    keys.extend(rhos.iter().map(|r| descending_key(r.to_bits())));
+    keys.sort_unstable();
+    for (rho, &key) in rhos.iter_mut().zip(keys.iter()) {
+        *rho = f64::from_bits(descending_key(key));
+    }
+}
+
+/// Maps `f64` bits to a key whose ascending `u64` order is descending
+/// `total_cmp` order. Nonnegative values get their 63 magnitude bits
+/// flipped (larger value, smaller key, all below 2⁶³); negative values
+/// keep their bits (more negative, larger key). The mask depends only on
+/// the sign bit, which it leaves alone, so the map is its own inverse.
+fn descending_key(bits: u64) -> u64 {
+    bits ^ (!(((bits as i64) >> 63) as u64) >> 1)
 }
 
 #[cfg(test)]

@@ -25,6 +25,7 @@
 
 use std::cmp::Ordering;
 
+use crate::profile::sort_slowest_first;
 use crate::xengine::XScan;
 use crate::{ModelError, Params, Profile};
 
@@ -227,7 +228,8 @@ pub fn greedy_multiplicative(
     let mut speeds = initial.to_vec();
     let mut steps = Vec::with_capacity(rounds);
     let mut sorted = speeds.clone();
-    sorted.sort_by(|a, b| b.total_cmp(a));
+    let mut keys = Vec::new();
+    sort_slowest_first(&mut sorted, &mut keys);
     let mut scan = XScan::new(params, &sorted)?;
     // Per-round memo of candidate X-values, keyed by scan position.
     let mut cand_x: Vec<Option<f64>> = vec![None; speeds.len()];
@@ -259,7 +261,7 @@ pub fn greedy_multiplicative(
         let (chosen, _) = best.expect("nonempty cluster has a best upgrade");
         speeds[chosen] *= psi;
         sorted.copy_from_slice(&speeds);
-        sorted.sort_by(|a, b| b.total_cmp(a));
+        sort_slowest_first(&mut sorted, &mut keys);
         scan.rebuild(&sorted)?;
         steps.push(GreedyStep {
             round,

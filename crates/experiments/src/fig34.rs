@@ -15,6 +15,7 @@
 //! chosen computers and reported X-values are bit-identical to the
 //! from-scratch rescan it replaced, so these figures are unaffected.
 
+use hetero_core::profile::sort_slowest_first;
 use hetero_core::speedup::{greedy_multiplicative, theorem4_choice, GreedyStep, Theorem4Choice};
 use hetero_core::xbatch::{self, ProfileBatch};
 use hetero_core::{fastnum, NumericMode, Params};
@@ -105,9 +106,10 @@ pub fn run_mode(
     // the scan's value instead.
     let mut batch = ProfileBatch::with_capacity(steps.len(), steps.len() * n);
     let mut sorted = vec![0.0; n];
+    let mut keys = Vec::new();
     for step in &steps {
         sorted.copy_from_slice(&step.speeds);
-        sorted.sort_by(|a, b| b.total_cmp(a));
+        sort_slowest_first(&mut sorted, &mut keys);
         batch.push(&sorted);
     }
     for (step, x) in steps
