@@ -26,6 +26,7 @@ use hetero_core::Params;
 use hetero_faults::{FaultConfig, FaultPlan};
 use hetero_obs::causal;
 use hetero_par::seed;
+use hetero_protocol::labels::{COMPUTE, RECV_FROM};
 use hetero_protocol::{alloc, fault_exec, replan};
 use hetero_sim::Trace;
 
@@ -115,7 +116,7 @@ pub struct CritPaths {
 /// `recv` span) and summarizes it; falls back to the global critical
 /// path when every result was destroyed.
 fn arm_path(trace: &Trace, missed: bool) -> ArmPath {
-    let path = causal::critical_path_where(trace, |i| trace.spans()[i].label.starts_with("recv"))
+    let path = causal::critical_path_where(trace, |i| trace.spans()[i].label.head() == RECV_FROM)
         .or_else(|| causal::critical_path(trace));
     let Some(p) = path else {
         return ArmPath {
@@ -131,7 +132,7 @@ fn arm_path(trace: &Trace, missed: bool) -> ArmPath {
     let compute: f64 = p
         .span_ids
         .iter()
-        .filter(|&&id| spans[id].label.starts_with("compute"))
+        .filter(|&&id| spans[id].label.head() == COMPUTE)
         .map(|&id| spans[id].duration())
         .sum(); // hetero-check: allow(float-accum) — a chain holds O(n) spans and the share is reported to 3 digits
     ArmPath {

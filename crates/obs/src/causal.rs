@@ -14,6 +14,8 @@
 //! dur(i) + down[parent(i)]` is computable in id order, and ties break
 //! to the smallest id — fully deterministic for the same trace.
 
+use std::fmt::Write as _;
+
 use hetero_sim::Trace;
 
 /// One extracted root-to-leaf causal chain.
@@ -143,7 +145,7 @@ impl CriticalPath {
             if k > 0 {
                 out.push(';');
             }
-            out.push_str(&spans[id].label);
+            let _ = write!(out, "{}", spans[id].label);
         }
         out
     }
@@ -187,7 +189,8 @@ mod tests {
     #[test]
     fn filtered_extraction_targets_a_leaf_family() {
         let tr = forest();
-        let p = critical_path_where(&tr, |i| tr.spans()[i].label == "d").expect("d exists");
+        let p = critical_path_where(&tr, |i| tr.spans()[i].label == hetero_sim::Label::new("d"))
+            .expect("d exists");
         assert_eq!(p.span_ids, vec![2, 3]);
         assert_eq!(p.weight, 3.0);
     }

@@ -20,6 +20,8 @@
 //! time scale matches the Chrome exporter: 1 sim unit = 1 ms = 1000 µs
 //! (see [`crate::chrome::SIM_UNIT_US`]).
 
+use std::fmt::Write as _;
+
 use crate::chrome::SIM_UNIT_US;
 use hetero_sim::Trace;
 
@@ -63,8 +65,7 @@ pub fn trace_to_folded(trace: &Trace, entity_names: &[String]) -> String {
                 Some(name) => out.push_str(name),
                 None => out.push_str(&format!("E{}", sp.entity)),
             }
-            out.push(':');
-            out.push_str(&sp.label);
+            let _ = write!(out, ":{}", sp.label);
         }
         out.push(' ');
         out.push_str(&format!("{}", self_us as u64));

@@ -45,6 +45,9 @@ use crate::alloc::{fifo_plan, Plan};
 use crate::error::ProtocolError;
 use crate::exec::{channel_entity, worker_entity, SERVER};
 use crate::fault_exec::ExecError;
+use crate::labels::{
+    Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
+};
 
 /// An (n, k) MDS share assignment over a heterogeneous cluster.
 #[derive(Debug, Clone)]
@@ -295,7 +298,7 @@ pub fn execute_coded(
         if let Some(tc) = state.crash_by_pos[pos] {
             let at = SimTime::try_new(tc)?;
             let ent = worker_entity(state.order[pos]);
-            state.trace.try_record(ent, "†crash", at, at)?;
+            state.trace.try_record(ent, Label::CRASH, at, at)?;
         }
     }
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -365,7 +368,7 @@ fn handle_event(
             let pack = st.server.try_acquire(now, pi * w)?;
             let pack_id = st.trace.try_record_caused(
                 SERVER,
-                format!("pack→C{}", target + 1),
+                Label::num(PACK_TO, target + 1),
                 pack.start,
                 pack.end,
                 cause,
@@ -381,7 +384,7 @@ fn handle_event(
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.order.len()),
-                format!("xmit:work:C{}", target + 1),
+                Label::num(XMIT_WORK, target + 1),
                 transit.start,
                 transit.end,
                 Some(pack_id),
@@ -410,9 +413,9 @@ fn handle_event(
             let ent = worker_entity(target);
             let crash = st.crash_by_pos[pos];
             let phases = [
-                ("unpack", pi * rho * w),
-                ("compute", rho * w),
-                ("pack", pi * rho * delta * w),
+                (UNPACK, pi * rho * w),
+                (COMPUTE, rho * w),
+                (PACK, pi * rho * delta * w),
             ];
             let mut t = now;
             let mut died = false;
@@ -429,7 +432,7 @@ fn handle_event(
                         if cut > t {
                             st.trace.try_record_caused(
                                 ent,
-                                format!("{label}†crash"),
+                                Label::new(label).marked(Mark::Crash),
                                 t,
                                 cut,
                                 Some(prev),
@@ -463,7 +466,7 @@ fn handle_event(
             if transit.start - now > wait_threshold {
                 xmit_cause = st.trace.try_record_caused(
                     worker_entity(target),
-                    "wait:channel",
+                    WAIT_CHANNEL,
                     now,
                     transit.start,
                     Some(cause),
@@ -472,9 +475,9 @@ fn handle_event(
             let lost = st.losses_left[pos] > 0;
             let label = if lost {
                 st.losses_left[pos] -= 1;
-                format!("xmit:result:C{}†lost", target + 1)
+                Label::num(XMIT_RESULT, target + 1).marked(Mark::Lost)
             } else {
-                format!("xmit:result:C{}", target + 1)
+                Label::num(XMIT_RESULT, target + 1)
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.order.len()),
@@ -505,7 +508,7 @@ fn handle_event(
                 let unpack = st.server.try_acquire(now, pi * delta * w)?;
                 st.trace.try_record_caused(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    Label::num(RECV_FROM, target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -618,7 +621,7 @@ mod tests {
             run.trace
                 .spans()
                 .iter()
-                .filter(|s| s.label.ends_with("†lost"))
+                .filter(|s| s.label.mark() == Some(Mark::Lost))
                 .count(),
             1
         );

@@ -48,6 +48,10 @@ use hetero_sim::{EventQueue, SimTime, Trace, UnitResource};
 use crate::alloc::Plan;
 use crate::exec::{channel_entity, worker_entity, SERVER};
 use crate::fault_exec::ExecError;
+use crate::labels::{
+    Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
+    XMIT_XCHG, XPACK_TO,
+};
 use crate::replan::{execute_adaptive, AdaptiveExecution, HedgePolicy};
 
 /// How the exchange family trades and when it gives up.
@@ -308,7 +312,7 @@ pub fn execute_exchange(
         if let Some(tc) = state.crash_by_pos[pos] {
             let at = SimTime::try_new(tc)?;
             let ent = worker_entity(state.order[pos]);
-            state.trace.try_record(ent, "†crash", at, at)?;
+            state.trace.try_record(ent, Label::CRASH, at, at)?;
         }
     }
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -436,7 +440,7 @@ fn worker_phase(
     ent: usize,
     target: usize,
     crash: Option<f64>,
-    label: &str,
+    label: Label,
     base: f64,
     t: &mut SimTime,
     prev: &mut usize,
@@ -451,7 +455,7 @@ fn worker_phase(
             let cut = SimTime::try_new(tc)?;
             if cut > *t {
                 st.trace
-                    .try_record_caused(ent, format!("{label}†crash"), *t, cut, Some(*prev))?;
+                    .try_record_caused(ent, label.marked(Mark::Crash), *t, cut, Some(*prev))?;
             }
             return Ok(true);
         }
@@ -498,7 +502,7 @@ fn handle_event(
             let pack = st.server.try_acquire(now, pi * w)?;
             let pack_id = st.trace.try_record_caused(
                 SERVER,
-                format!("pack→C{}", target + 1),
+                Label::num(PACK_TO, target + 1),
                 pack.start,
                 pack.end,
                 cause,
@@ -506,7 +510,7 @@ fn handle_event(
             let transit = jittered_transit(st, pack.end, tau * w)?;
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(n),
-                format!("xmit:work:C{}", target + 1),
+                Label::num(XMIT_WORK, target + 1),
                 transit.start,
                 transit.end,
                 Some(pack_id),
@@ -572,7 +576,7 @@ fn handle_event(
                 ent,
                 target,
                 crash,
-                "unpack",
+                Label::new(UNPACK),
                 pi * rho * w_in,
                 &mut t,
                 &mut prev,
@@ -584,13 +588,13 @@ fn handle_event(
                     // input, not results) at the straggler's speed.
                     let residual = st.parcels[id].work;
                     let donor_target = st.order[d];
-                    let label = format!("xpack→C{}", donor_target + 1);
+                    let label = Label::num(XPACK_TO, donor_target + 1);
                     died = worker_phase(
                         st,
                         ent,
                         target,
                         crash,
-                        &label,
+                        label,
                         pi * rho * residual,
                         &mut t,
                         &mut prev,
@@ -599,7 +603,7 @@ fn handle_event(
                         let transit = jittered_transit(st, t, tau * residual)?;
                         let xmit_id = st.trace.try_record_caused(
                             channel_entity(n),
-                            format!("xmit:xchg:C{}→C{}", target + 1, donor_target + 1),
+                            Label::route(XMIT_XCHG, target + 1, donor_target + 1),
                             transit.start,
                             transit.end,
                             Some(prev),
@@ -615,7 +619,7 @@ fn handle_event(
                     ent,
                     target,
                     crash,
-                    "compute",
+                    Label::new(COMPUTE),
                     rho * keep,
                     &mut t,
                     &mut prev,
@@ -628,7 +632,7 @@ fn handle_event(
                     ent,
                     target,
                     crash,
-                    "pack",
+                    Label::new(PACK),
                     pi * rho * delta * keep,
                     &mut t,
                     &mut prev,
@@ -649,7 +653,7 @@ fn handle_event(
             if transit.start - now > wait_threshold {
                 xmit_cause = st.trace.try_record_caused(
                     worker_entity(target),
-                    "wait:channel",
+                    WAIT_CHANNEL,
                     now,
                     transit.start,
                     Some(cause),
@@ -658,9 +662,9 @@ fn handle_event(
             let lost = st.losses_left[target] > 0;
             let label = if lost {
                 st.losses_left[target] -= 1;
-                format!("xmit:result:C{}†lost", target + 1)
+                Label::num(XMIT_RESULT, target + 1).marked(Mark::Lost)
             } else {
-                format!("xmit:result:C{}", target + 1)
+                Label::num(XMIT_RESULT, target + 1)
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(n),
@@ -693,7 +697,7 @@ fn handle_event(
                 let unpack = st.server.try_acquire(now, pi * delta * w)?;
                 st.trace.try_record_caused(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    Label::num(RECV_FROM, target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -712,9 +716,9 @@ fn handle_event(
             let mut prev = cause;
             let mut died = false;
             for (label, base) in [
-                ("unpack", pi * rho * r),
-                ("compute", rho * r),
-                ("pack", pi * rho * delta * r),
+                (Label::new(UNPACK), pi * rho * r),
+                (Label::new(COMPUTE), rho * r),
+                (Label::new(PACK), pi * rho * delta * r),
             ] {
                 if worker_phase(st, ent, donor_target, crash, label, base, &mut t, &mut prev)? {
                     died = true;
@@ -735,7 +739,7 @@ fn handle_event(
             if transit.start - now > wait_threshold {
                 xmit_cause = st.trace.try_record_caused(
                     worker_entity(donor_target),
-                    "wait:channel",
+                    WAIT_CHANNEL,
                     now,
                     transit.start,
                     Some(cause),
@@ -744,9 +748,9 @@ fn handle_event(
             let lost = st.losses_left[donor_target] > 0;
             let label = if lost {
                 st.losses_left[donor_target] -= 1;
-                format!("xmit:result:C{}†lost", donor_target + 1)
+                Label::num(XMIT_RESULT, donor_target + 1).marked(Mark::Lost)
             } else {
-                format!("xmit:result:C{}", donor_target + 1)
+                Label::num(XMIT_RESULT, donor_target + 1)
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(n),
@@ -779,7 +783,7 @@ fn handle_event(
                 let unpack = st.server.try_acquire(now, pi * delta * r)?;
                 st.trace.try_record_caused(
                     SERVER,
-                    format!("recv←C{}·xchg", donor_target + 1),
+                    Label::num(RECV_FROM, donor_target + 1).marked(Mark::Xchg),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -857,21 +861,17 @@ mod tests {
             run.final_work.iter().sum::<f64>() + run.exchanges.iter().map(|x| x.work).sum::<f64>();
         assert!((total - plan.total_work()).abs() <= 1e-12 * plan.total_work());
         // The trace shows the transfer machinery.
+        assert!(run.trace.spans().iter().any(|s| s.label.head() == XPACK_TO));
         assert!(run
             .trace
             .spans()
             .iter()
-            .any(|s| s.label.starts_with("xpack→")));
+            .any(|s| s.label.head() == XMIT_XCHG));
         assert!(run
             .trace
             .spans()
             .iter()
-            .any(|s| s.label.starts_with("xmit:xchg:")));
-        assert!(run
-            .trace
-            .spans()
-            .iter()
-            .any(|s| s.label.starts_with("recv←") && s.label.ends_with("·xchg")));
+            .any(|s| s.label.head() == RECV_FROM && s.label.mark() == Some(Mark::Xchg)));
         // The trade pays in completion time: the oblivious executor
         // grinds the full package at 4x, while the exchange run finishes
         // the same total work strictly earlier (retained slice on the

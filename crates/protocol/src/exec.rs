@@ -23,6 +23,10 @@ use hetero_sim::stats::OnlineStats;
 use hetero_sim::{EventQueue, SimTime, Trace, UnitResource};
 
 use crate::alloc::Plan;
+use crate::labels::{
+    Label, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
+    XMIT_XCHG, XPACK_TO,
+};
 
 /// Entity id of the server in execution traces.
 pub const SERVER: usize = 0;
@@ -145,7 +149,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 let pack = st.server.acquire(now, pi * w);
                 let pack_id = st.trace.record_caused(
                     SERVER,
-                    format!("pack→C{}", target + 1),
+                    Label::num(PACK_TO, target + 1),
                     pack.start,
                     pack.end,
                     cause,
@@ -153,7 +157,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 let transit = st.channel.acquire(pack.end, tau * w);
                 let xmit_id = st.trace.record_caused(
                     channel_entity(st.order.len()),
-                    format!("xmit:work:C{}", target + 1),
+                    Label::num(XMIT_WORK, target + 1),
                     transit.start,
                     transit.end,
                     Some(pack_id),
@@ -188,17 +192,13 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 let pack_end = compute_end + pi * rho * delta * w;
                 let unpack_id = st
                     .trace
-                    .record_caused(ent, "unpack", now, unpack_end, Some(cause));
-                let compute_id = st.trace.record_caused(
-                    ent,
-                    "compute",
-                    unpack_end,
-                    compute_end,
-                    Some(unpack_id),
-                );
+                    .record_caused(ent, UNPACK, now, unpack_end, Some(cause));
+                let compute_id =
+                    st.trace
+                        .record_caused(ent, COMPUTE, unpack_end, compute_end, Some(unpack_id));
                 let pack_id =
                     st.trace
-                        .record_caused(ent, "pack", compute_end, pack_end, Some(compute_id));
+                        .record_caused(ent, PACK, compute_end, pack_end, Some(compute_id));
                 q.schedule_at(
                     pack_end,
                     Event::ResultsReady {
@@ -220,7 +220,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 if transit.start - now > wait_threshold {
                     xmit_cause = st.trace.record_caused(
                         worker_entity(target),
-                        "wait:channel",
+                        WAIT_CHANNEL,
                         now,
                         transit.start,
                         Some(cause),
@@ -228,7 +228,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 }
                 let xmit_id = st.trace.record_caused(
                     channel_entity(st.order.len()),
-                    format!("xmit:result:C{}", target + 1),
+                    Label::num(XMIT_RESULT, target + 1),
                     transit.start,
                     transit.end,
                     Some(xmit_cause),
@@ -248,7 +248,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
                 let unpack = st.server.acquire(now, pi * delta * w);
                 st.trace.record_caused(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    Label::num(RECV_FROM, target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -304,6 +304,37 @@ pub fn try_execute(
     })
 }
 
+/// The `protocol.*` phases that span time is reported under, indexed
+/// by [`phase_of`].
+pub const PHASES: [&str; 5] = [
+    "protocol.compute",
+    "protocol.wait",
+    "protocol.send",
+    "protocol.receive",
+    "protocol.other",
+];
+
+/// Index into [`PHASES`] of the phase a span's time counts toward,
+/// matched on the label's parts (see [`crate::labels`]):
+///
+/// * compute — an intact worker `unpack`, `compute` or `pack`; a
+///   crash-truncated one (`compute†crash`) counts as other;
+/// * wait — `wait:channel`;
+/// * send — server packaging and any work or residual in transit
+///   (`pack→C*`, `xpack→C*`, `xmit:work:C*`, `xmit:xchg:C*→C*`);
+/// * receive — result transits and server unpackaging (`xmit:result:C*`,
+///   `recv←C*`), lost or traded ones included;
+/// * other — everything else (`†crash`, `skip→C*`, truncated phases).
+pub fn phase_of(label: &Label) -> usize {
+    match (label.head(), label.is_plain()) {
+        (UNPACK | COMPUTE | PACK, true) => 0,
+        (WAIT_CHANNEL, true) => 1,
+        (PACK_TO | XPACK_TO | XMIT_WORK | XMIT_XCHG, _) => 2,
+        (XMIT_RESULT | RECV_FROM, _) => 3,
+        _ => 4,
+    }
+}
+
 /// Folds one finished execution into the global collector: simulator
 /// load, resource utilization per entity, and per-phase span timing
 /// (send = server packaging + work transit; compute = the worker's
@@ -342,38 +373,19 @@ pub(crate) fn observe_trace(
     // plus a name lookup per span made full recording cost more than
     // the execution itself. One trace pass, five local accumulators
     // (Welford + quantile sketch per phase), one lock at the end.
-    const PHASES: [&str; 5] = [
-        "protocol.compute",
-        "protocol.wait",
-        "protocol.send",
-        "protocol.receive",
-        "protocol.other",
-    ];
     let mut stats: [OnlineStats; 5] = Default::default();
     let mut sketches: [QuantileSketch; 5] = std::array::from_fn(|_| QuantileSketch::new());
     // Workers are not UnitResources (their schedule is closed-form), so
     // their utilization is busy time over the makespan, read off the trace.
     let mut worker_busy = vec![0.0f64; n];
     for span in trace.spans() {
-        let phase = match span.label.as_str() {
-            "unpack" | "compute" | "pack" => {
-                let idx = span.entity.wrapping_sub(1);
-                if let Some(busy) = worker_busy.get_mut(idx) {
-                    *busy += span.duration();
-                }
-                0
+        let phase = phase_of(&span.label);
+        if phase == 0 {
+            let idx = span.entity.wrapping_sub(1);
+            if let Some(busy) = worker_busy.get_mut(idx) {
+                *busy += span.duration();
             }
-            "wait:channel" => 1,
-            l if l.starts_with("pack→")
-                || l.starts_with("xpack→")
-                || l.starts_with("xmit:work")
-                || l.starts_with("xmit:xchg") =>
-            {
-                2
-            }
-            l if l.starts_with("xmit:result") || l.starts_with("recv←") => 3,
-            _ => 4,
-        };
+        }
         let d = span.duration();
         stats[phase].push(d);
         // The same phase durations also feed the mergeable quantile
@@ -493,7 +505,10 @@ mod tests {
         let plan = fifo_plan(&p, &profile, 500.0).unwrap();
         let run = execute(&p, &profile, &plan);
         assert!(
-            !run.trace.spans().iter().any(|s| s.label == "wait:channel"),
+            !run.trace
+                .spans()
+                .iter()
+                .any(|s| s.label.head() == WAIT_CHANNEL),
             "optimal plan has no channel waits"
         );
     }

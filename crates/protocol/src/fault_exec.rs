@@ -40,12 +40,13 @@ use std::fmt;
 
 use hetero_core::{Params, Profile};
 use hetero_faults::FaultPlan;
-use hetero_sim::{
-    BackwardsSpan, EventQueue, GrantError, NonFiniteTime, SimTime, Trace, UnitResource,
-};
+use hetero_sim::{EventQueue, GrantError, NonFiniteTime, SimTime, SpanError, Trace, UnitResource};
 
 use crate::alloc::Plan;
 use crate::exec::{channel_entity, worker_entity, SERVER};
+use crate::labels::{
+    Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
+};
 
 /// Why a faulted execution could not run to completion.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,8 +57,9 @@ pub enum ExecError {
     Grant(GrantError),
     /// A fault-perturbed schedule left the finite clock range.
     Time(NonFiniteTime),
-    /// A fault-perturbed span ended before it started.
-    Span(BackwardsSpan),
+    /// The trace rejected a span: it ended before it started, or named
+    /// a causal parent not yet recorded.
+    Span(SpanError),
     /// The replanner's suffix re-solve was rejected by the model layer
     /// (e.g. a slowdown factor drove an effective ρ out of range).
     Model(hetero_core::ModelError),
@@ -107,8 +109,8 @@ impl From<NonFiniteTime> for ExecError {
     }
 }
 
-impl From<BackwardsSpan> for ExecError {
-    fn from(e: BackwardsSpan) -> Self {
+impl From<SpanError> for ExecError {
+    fn from(e: SpanError) -> Self {
         ExecError::Span(e)
     }
 }
@@ -270,7 +272,7 @@ pub fn execute_with_faults(
         if let Some(tc) = state.crash_by_pos[pos] {
             let at = SimTime::try_new(tc)?;
             let ent = worker_entity(state.order[pos]);
-            state.trace.try_record(ent, "†crash", at, at)?;
+            state.trace.try_record(ent, Label::CRASH, at, at)?;
         }
     }
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -356,7 +358,7 @@ fn handle_event(
             let pack = st.server.try_acquire(now, pi * w)?;
             let pack_id = st.trace.try_record_caused(
                 SERVER,
-                format!("pack→C{}", target + 1),
+                Label::num(PACK_TO, target + 1),
                 pack.start,
                 pack.end,
                 cause,
@@ -364,7 +366,7 @@ fn handle_event(
             let transit = jittered_transit(st, pack.end, tau * w)?;
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.order.len()),
-                format!("xmit:work:C{}", target + 1),
+                Label::num(XMIT_WORK, target + 1),
                 transit.start,
                 transit.end,
                 Some(pack_id),
@@ -396,9 +398,9 @@ fn handle_event(
             // whatever slowdown windows cover its start, each truncated
             // by a crash. Results persist only once packaging completes.
             let phases = [
-                ("unpack", pi * rho * w),
-                ("compute", rho * w),
-                ("pack", pi * rho * delta * w),
+                (UNPACK, pi * rho * w),
+                (COMPUTE, rho * w),
+                (PACK, pi * rho * delta * w),
             ];
             let mut t = now;
             let mut died = false;
@@ -411,7 +413,7 @@ fn handle_event(
                         if cut > t {
                             st.trace.try_record_caused(
                                 ent,
-                                format!("{label}†crash"),
+                                Label::new(label).marked(Mark::Crash),
                                 t,
                                 cut,
                                 Some(prev),
@@ -439,7 +441,7 @@ fn handle_event(
             if transit.start - now > wait_threshold {
                 xmit_cause = st.trace.try_record_caused(
                     worker_entity(target),
-                    "wait:channel",
+                    WAIT_CHANNEL,
                     now,
                     transit.start,
                     Some(cause),
@@ -450,9 +452,9 @@ fn handle_event(
             let lost = st.losses_left[pos] > 0;
             let label = if lost {
                 st.losses_left[pos] -= 1;
-                format!("xmit:result:C{}†lost", target + 1)
+                Label::num(XMIT_RESULT, target + 1).marked(Mark::Lost)
             } else {
-                format!("xmit:result:C{}", target + 1)
+                Label::num(XMIT_RESULT, target + 1)
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.order.len()),
@@ -490,7 +492,7 @@ fn handle_event(
                 let unpack = st.server.try_acquire(now, pi * delta * w)?;
                 st.trace.try_record_caused(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    Label::num(RECV_FROM, target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -549,13 +551,13 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .any(|s| s.label == "†crash" && s.entity == crate::exec::worker_entity(0)));
+            .any(|s| s.label == Label::CRASH && s.entity == crate::exec::worker_entity(0)));
         // No worker phase spans for the dead worker beyond the marker.
         assert!(!run
             .trace
             .spans()
             .iter()
-            .any(|s| s.entity == crate::exec::worker_entity(0) && s.label == "compute"));
+            .any(|s| s.entity == crate::exec::worker_entity(0) && s.label == Label::new(COMPUTE)));
     }
 
     #[test]
@@ -569,7 +571,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == "compute")
+            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == Label::new(COMPUTE))
             .unwrap();
         let tc = 0.5 * (compute.start.get() + compute.end.get());
         let faults = FaultPlan::new(vec![FaultSpec::Crash { worker: 0, at: tc }]).unwrap();
@@ -579,7 +581,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "compute†crash")
+            .find(|s| s.label == Label::new(COMPUTE).marked(Mark::Crash))
             .unwrap();
         assert_eq!(cut.end.get(), tc);
         // Realized service = full unpack + the truncated compute slice.
@@ -587,7 +589,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == "unpack")
+            .find(|s| s.entity == crate::exec::worker_entity(0) && s.label == Label::new(UNPACK))
             .unwrap();
         let expect = unpack.duration() + (tc - compute.start.get());
         assert!((run.realized_service[0] - expect).abs() < 1e-9);
@@ -605,7 +607,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "pack")
+            .find(|s| s.label == Label::new(PACK))
             .unwrap()
             .end;
         // Crash exactly at packaging completion: the loss window is
@@ -663,14 +665,14 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label.starts_with("xmit:work"))
+            .find(|s| s.label.head() == XMIT_WORK)
             .unwrap();
         assert!((xmit_work.duration() - 2.0 * p.tau() * w).abs() < 1e-12);
         let xmit_result = run
             .trace
             .spans()
             .iter()
-            .find(|s| s.label.starts_with("xmit:result"))
+            .find(|s| s.label.head() == XMIT_RESULT)
             .unwrap();
         assert!((xmit_result.duration() - 2.0 * p.tau() * p.delta() * w).abs() < 1e-12);
     }
@@ -697,7 +699,7 @@ mod tests {
             run.trace
                 .spans()
                 .iter()
-                .filter(|s| s.label.ends_with("†lost"))
+                .filter(|s| s.label.mark() == Some(Mark::Lost))
                 .count(),
             2
         );
@@ -715,7 +717,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .find(|s| s.label == "pack")
+            .find(|s| s.label == Label::new(PACK))
             .unwrap()
             .end;
         let faults = FaultPlan::new(vec![

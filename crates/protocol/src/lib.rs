@@ -45,6 +45,7 @@ pub mod exec;
 pub mod fault_exec;
 pub mod general;
 pub mod integral;
+pub mod labels;
 pub mod rental;
 pub mod replan;
 pub mod timeline;

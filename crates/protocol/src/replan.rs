@@ -47,6 +47,10 @@ use hetero_sim::{EventQueue, SimTime, Trace, UnitResource};
 use crate::alloc::Plan;
 use crate::exec::{channel_entity, worker_entity, SERVER};
 use crate::fault_exec::ExecError;
+use crate::labels::{
+    Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, SKIP_TO, UNPACK, WAIT_CHANNEL, XMIT_RESULT,
+    XMIT_WORK,
+};
 
 /// The deadline a margin-hedging planner actually plans for:
 /// `L / (1 + margin)`.
@@ -301,7 +305,7 @@ pub fn execute_adaptive(
             let at = SimTime::try_new(tc)?;
             state
                 .trace
-                .try_record(worker_entity(state.order[pos]), "†crash", at, at)?;
+                .try_record(worker_entity(state.order[pos]), Label::CRASH, at, at)?;
         }
     }
     let mut queue: EventQueue<Event> = EventQueue::new();
@@ -556,7 +560,7 @@ fn handle_event(
                 hetero_obs::counters::FAULTS_SKIPPED_SENDS.bump();
                 let skip_id = st.trace.try_record_caused(
                     SERVER,
-                    format!("skip→C{}", target + 1),
+                    Label::num(SKIP_TO, target + 1),
                     now,
                     now,
                     cause,
@@ -569,7 +573,7 @@ fn handle_event(
             let pack = st.server.try_acquire(now, pi * w)?;
             let pack_id = st.trace.try_record_caused(
                 SERVER,
-                format!("pack→C{}", target + 1),
+                Label::num(PACK_TO, target + 1),
                 pack.start,
                 pack.end,
                 cause,
@@ -585,7 +589,7 @@ fn handle_event(
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.original_n),
-                format!("xmit:work:C{}", target + 1),
+                Label::num(XMIT_WORK, target + 1),
                 transit.start,
                 transit.end,
                 Some(pack_id),
@@ -606,9 +610,9 @@ fn handle_event(
             let ent = worker_entity(target);
             let crash = st.crash_by_pos[pos];
             let phases = [
-                ("unpack", pi * rho * w),
-                ("compute", rho * w),
-                ("pack", pi * rho * delta * w),
+                (UNPACK, pi * rho * w),
+                (COMPUTE, rho * w),
+                (PACK, pi * rho * delta * w),
             ];
             let mut t = now;
             let mut died = false;
@@ -625,7 +629,7 @@ fn handle_event(
                         if cut > t {
                             st.trace.try_record_caused(
                                 ent,
-                                format!("{label}†crash"),
+                                Label::new(label).marked(Mark::Crash),
                                 t,
                                 cut,
                                 Some(prev),
@@ -661,7 +665,7 @@ fn handle_event(
             if transit.start - now > wait_threshold {
                 xmit_cause = st.trace.try_record_caused(
                     worker_entity(target),
-                    "wait:channel",
+                    WAIT_CHANNEL,
                     now,
                     transit.start,
                     Some(cause),
@@ -670,9 +674,9 @@ fn handle_event(
             let lost = st.losses_left[target] > 0;
             let label = if lost {
                 st.losses_left[target] -= 1;
-                format!("xmit:result:C{}†lost", target + 1)
+                Label::num(XMIT_RESULT, target + 1).marked(Mark::Lost)
             } else {
-                format!("xmit:result:C{}", target + 1)
+                Label::num(XMIT_RESULT, target + 1)
             };
             let xmit_id = st.trace.try_record_caused(
                 channel_entity(st.original_n),
@@ -716,7 +720,7 @@ fn handle_event(
                 let unpack = st.server.try_acquire(now, pi * delta * w)?;
                 st.trace.try_record_caused(
                     SERVER,
-                    format!("recv←C{}", target + 1),
+                    Label::num(RECV_FROM, target + 1),
                     unpack.start,
                     unpack.end,
                     Some(cause),
@@ -787,7 +791,7 @@ mod tests {
             .trace
             .spans()
             .iter()
-            .any(|s| s.label == "skip→C3" && s.entity == SERVER));
+            .any(|s| s.label == Label::num(SKIP_TO, 3) && s.entity == SERVER));
         // The oblivious executor wastes the send; adaptive salvages no
         // less work and never delivers late.
         let oblivious = execute_with_faults(&p, &profile, &plan, &faults).unwrap();

@@ -84,7 +84,7 @@ pub fn gantt_rows(run: &Execution, n: usize) -> Vec<GanttRow> {
         })
         .collect();
     for span in run.trace.spans() {
-        rows[span.entity].spans.push(span.clone());
+        rows[span.entity].spans.push(*span);
     }
     for row in &mut rows {
         row.spans.sort_by_key(|s| s.start);

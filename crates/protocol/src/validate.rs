@@ -13,6 +13,7 @@
 use hetero_core::{Params, Profile};
 
 use crate::exec::{channel_entity, Execution};
+use crate::labels::{Label, COMPUTE};
 
 /// A violated protocol invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -20,7 +21,7 @@ pub enum Violation {
     /// Two messages were in transit simultaneously.
     ChannelConflict {
         /// Labels of the colliding spans.
-        labels: (String, String),
+        labels: (Label, Label),
     },
     /// An entity had two overlapping activities.
     EntityConflict {
@@ -47,9 +48,12 @@ pub fn validate(_params: &Params, profile: &Profile, run: &Execution) -> Vec<Vio
     let chan = channel_entity(profile.n());
 
     // 1. Single message in transit.
-    if let Some((a, b)) = run.trace.find_labelled_conflict(|l| l.starts_with("xmit:")) {
+    if let Some((a, b)) = run
+        .trace
+        .find_labelled_conflict(|l| l.head().starts_with("xmit:"))
+    {
         out.push(Violation::ChannelConflict {
-            labels: (a.label.clone(), b.label.clone()),
+            labels: (a.label, b.label),
         });
     }
 
@@ -76,7 +80,7 @@ pub fn validate(_params: &Params, profile: &Profile, run: &Execution) -> Vec<Vio
         let ok = run
             .trace
             .entity_spans(crate::exec::worker_entity(index))
-            .filter(|s| s.label == "compute")
+            .filter(|s| s.label == Label::new(COMPUTE))
             .any(|s| (s.duration() - expected).abs() <= 1e-9 * expected.max(1.0));
         if !ok {
             out.push(Violation::WrongComputeTime { index });

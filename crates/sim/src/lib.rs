@@ -13,7 +13,7 @@
 //! * [`UnitResource`] — a serially reusable resource (a computer, or the
 //!   paper's *single-message-in-transit* network) granting time intervals.
 //! * [`Trace`] — span recorder producing the action/time diagrams of the
-//!   paper's Figures 1–2.
+//!   paper's Figures 1–2; its spans carry allocation-free [`Label`]s.
 //! * [`stats`] — online (Welford) accumulators and fixed histograms for
 //!   sweep aggregation.
 //!
@@ -31,6 +31,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod label;
 mod queue;
 mod resource;
 mod time;
@@ -38,10 +39,11 @@ mod trace;
 
 pub mod stats;
 
+pub use label::{Label, Mark};
 pub use queue::EventQueue;
 pub use resource::{Grant, GrantError, UnitResource};
 pub use time::{NonFiniteTime, SimTime};
-pub use trace::{BackwardsSpan, Span, Trace};
+pub use trace::{Span, SpanError, Trace};
 
 /// Drains the queue, dispatching every event to `handler` in time order.
 ///

@@ -12,19 +12,24 @@
 //! and byte-pinned Chrome goldens compare — and turn a trace into a
 //! causality forest that `hetero-obs` walks for critical-path
 //! extraction.
+//!
+//! Labels are [`Label`]s, not strings: a span is plain data with no
+//! heap part, so recording one never allocates.
 
 use std::error::Error;
 use std::fmt;
 
-use crate::SimTime;
+use crate::{Label, SimTime};
 
-/// One recorded activity interval.
-#[derive(Debug, Clone, PartialEq)]
+/// One recorded activity interval. Plain `Copy` data: the label is a
+/// [`Label`] (static head, computer numbers, mark), rendered to text
+/// only by the exporters.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
     /// Row identifier (e.g. computer index; 0 is the server).
     pub entity: usize,
-    /// Activity label (e.g. `"send→C2"`, `"compute"`).
-    pub label: String,
+    /// Activity label (e.g. `pack→C2`, `compute`).
+    pub label: Label,
     /// Start of the activity.
     pub start: SimTime,
     /// End of the activity.
@@ -43,28 +48,44 @@ impl Span {
     }
 }
 
-/// Rejected span: its end precedes its start.
+/// Why [`Trace::try_record_caused`] rejected a span. A rejected span is
+/// not recorded, so spans and parents stay aligned.
 #[derive(Debug, Clone, PartialEq)]
-pub struct BackwardsSpan {
-    /// The entity the span was recorded for.
-    pub entity: usize,
-    /// The offending start time.
-    pub start: SimTime,
-    /// The offending (earlier) end time.
-    pub end: SimTime,
+pub enum SpanError {
+    /// The span ends before it starts.
+    Backwards {
+        /// The entity the span was recorded for.
+        entity: usize,
+        /// The offending start time.
+        start: SimTime,
+        /// The offending (earlier) end time.
+        end: SimTime,
+    },
+    /// The causal parent names a span that has not been recorded yet.
+    UnknownParent {
+        /// The offending parent id.
+        parent: usize,
+        /// How many spans the trace held at the time.
+        recorded: usize,
+    },
 }
 
-impl fmt::Display for BackwardsSpan {
+impl fmt::Display for SpanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "span ends before it starts: entity {} from {:?} to {:?}",
-            self.entity, self.start, self.end
-        )
+        match self {
+            SpanError::Backwards { entity, start, end } => write!(
+                f,
+                "span ends before it starts: entity {entity} from {start:?} to {end:?}"
+            ),
+            SpanError::UnknownParent { parent, recorded } => write!(
+                f,
+                "causal parent {parent} not yet recorded (trace has {recorded} spans)"
+            ),
+        }
     }
 }
 
-impl Error for BackwardsSpan {}
+impl Error for SpanError {}
 
 /// An append-only recording of activity spans.
 ///
@@ -85,13 +106,14 @@ impl Trace {
     }
 
     /// Records one activity, rejecting spans that end before they start.
+    /// `label` is a [`Label`] or a `&'static str` (a plain label).
     pub fn try_record(
         &mut self,
         entity: usize,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         start: SimTime,
         end: SimTime,
-    ) -> Result<(), BackwardsSpan> {
+    ) -> Result<(), SpanError> {
         self.try_record_caused(entity, label, start, end, None)
             .map(|_| ())
     }
@@ -100,25 +122,26 @@ impl Trace {
     /// the new span's id (its recording index). `parent` must refer to
     /// an already-recorded span, which makes parent ids strictly smaller
     /// than child ids — the invariant the critical-path walk relies on.
+    /// A span that ends before it starts, or whose parent is not yet
+    /// recorded, is rejected with a [`SpanError`] and not recorded.
     pub fn try_record_caused(
         &mut self,
         entity: usize,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         start: SimTime,
         end: SimTime,
         parent: Option<usize>,
-    ) -> Result<usize, BackwardsSpan> {
+    ) -> Result<usize, SpanError> {
         if end < start {
-            return Err(BackwardsSpan { entity, start, end });
-        }
-        if let Some(p) = parent {
-            assert!(
-                p < self.spans.len(),
-                "causal parent {p} not yet recorded (trace has {} spans)",
-                self.spans.len()
-            );
+            return Err(SpanError::Backwards { entity, start, end });
         }
         let id = self.spans.len();
+        if let Some(parent) = parent.filter(|&p| p >= id) {
+            return Err(SpanError::UnknownParent {
+                parent,
+                recorded: id,
+            });
+        }
         self.spans.push(Span {
             entity,
             label: label.into(),
@@ -142,14 +165,14 @@ impl Trace {
     pub fn record_caused(
         &mut self,
         entity: usize,
-        label: impl Into<String>,
+        label: impl Into<Label>,
         start: SimTime,
         end: SimTime,
         parent: Option<usize>,
     ) -> usize {
         self.try_record_caused(entity, label, start, end, parent)
             // hetero-check: allow(expect) — documented-panic wrapper; the fallible form is try_record_caused
-            .expect("span ends before it starts")
+            .expect("span ends before it starts or names an unrecorded causal parent")
     }
 
     /// Records one activity. Convenience wrapper over [`try_record`] for
@@ -162,13 +185,7 @@ impl Trace {
     /// bug, not a recoverable condition, at these call sites.
     ///
     /// [`try_record`]: Trace::try_record
-    pub fn record(
-        &mut self,
-        entity: usize,
-        label: impl Into<String>,
-        start: SimTime,
-        end: SimTime,
-    ) {
+    pub fn record(&mut self, entity: usize, label: impl Into<Label>, start: SimTime, end: SimTime) {
         self.try_record(entity, label, start, end)
             // hetero-check: allow(expect) — documented-panic wrapper; the fallible form is try_record
             .expect("span ends before it starts");
@@ -221,10 +238,12 @@ impl Trace {
 
     /// Checks that no two spans whose labels satisfy `pred` overlap,
     /// regardless of entity — used to verify the paper's "at most one
-    /// message in transit at a time" network constraint.
+    /// message in transit at a time" network constraint. `pred` sees the
+    /// structured [`Label`]; match on its [`head`](Label::head) and
+    /// [`mark`](Label::mark) rather than rendering it.
     pub fn find_labelled_conflict<F>(&self, pred: F) -> Option<(&Span, &Span)>
     where
-        F: Fn(&str) -> bool,
+        F: Fn(&Label) -> bool,
     {
         let matching: Vec<&Span> = self.spans.iter().filter(|s| pred(&s.label)).collect();
         for (i, a) in matching.iter().enumerate() {
@@ -290,7 +309,7 @@ mod tests {
         assert!(tr.find_entity_conflict().is_none());
         tr.record(2, "z", t(1.5), t(1.8));
         let (a, b) = tr.find_entity_conflict().expect("conflict");
-        assert_eq!((a.label.as_str(), b.label.as_str()), ("x", "z"));
+        assert_eq!((a.label, b.label), (Label::new("x"), Label::new("z")));
     }
 
     #[test]
@@ -300,10 +319,12 @@ mod tests {
         tr.record(1, "xmit:result", t(1.0), t(3.0));
         tr.record(2, "compute", t(0.0), t(9.0));
         assert!(tr
-            .find_labelled_conflict(|l| l.starts_with("xmit"))
+            .find_labelled_conflict(|l| l.head().starts_with("xmit"))
             .is_some());
         // Computation may overlap transmissions freely.
-        assert!(tr.find_labelled_conflict(|l| l == "compute").is_none());
+        assert!(tr
+            .find_labelled_conflict(|l| l.head() == "compute")
+            .is_none());
     }
 
     #[test]
@@ -358,7 +379,7 @@ mod tests {
         let err = tr.try_record(3, "bad", t(2.0), t(1.0)).unwrap_err();
         assert_eq!(
             err,
-            BackwardsSpan {
+            SpanError::Backwards {
                 entity: 3,
                 start: t(2.0),
                 end: t(1.0)
@@ -366,5 +387,42 @@ mod tests {
         );
         assert!(err.to_string().contains("ends before"));
         assert_eq!(tr.spans().len(), 1, "rejected span not recorded");
+    }
+
+    #[test]
+    fn unknown_parent_is_an_error_not_a_panic() {
+        let mut tr = Trace::new();
+        tr.record(0, "ok", t(0.0), t(1.0));
+        let err = tr
+            .try_record_caused(1, "orphan", t(1.0), t(2.0), Some(1))
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SpanError::UnknownParent {
+                parent: 1,
+                recorded: 1
+            }
+        );
+        assert!(err.to_string().contains("causal parent 1"));
+        assert_eq!(tr.spans().len(), 1, "rejected span not recorded");
+        assert_eq!(tr.parents().len(), 1, "parents stay aligned");
+        // The trace stays usable: the next span takes id 1.
+        assert_eq!(
+            tr.try_record_caused(1, "next", t(1.0), t(2.0), Some(0)),
+            Ok(1)
+        );
+        assert_eq!(tr.parents(), [None, Some(0)]);
+    }
+
+    #[test]
+    fn spans_are_plain_copy_data() {
+        // Recording a span must never allocate: a future heap-owning
+        // field (a `String` label, say) makes `Span` need drop and
+        // fails here.
+        fn is_copy<T: Copy>() {}
+        is_copy::<Label>();
+        is_copy::<Span>();
+        assert!(!std::mem::needs_drop::<Label>());
+        assert!(!std::mem::needs_drop::<Span>());
     }
 }

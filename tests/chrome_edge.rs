@@ -20,7 +20,7 @@
 
 use hetero_obs::chrome::sim_trace_to_chrome;
 use hetero_obs::json;
-use hetero_sim::{SimTime, Trace};
+use hetero_sim::{Label, SimTime, Trace};
 
 fn t(v: f64) -> SimTime {
     SimTime::new(v)
@@ -53,7 +53,7 @@ fn many_lanes_trace() -> String {
     let mut tr = Trace::new();
     for e in 0..70usize {
         let start = e as f64 * 0.25;
-        tr.record(e, format!("compute#{e}"), t(start), t(start + 1.0));
+        tr.record(e, Label::num("compute#", e), t(start), t(start + 1.0));
     }
     let names: Vec<String> = (0..68).map(|i| format!("C{i}")).collect();
     sim_trace_to_chrome(&tr, &names)
