@@ -400,7 +400,8 @@ fn cmd_select(opts: &Opts) -> Result<(), String> {
 /// `faults --plan FILE` — replays one pinned JSON fault plan through
 /// all four protocol families on a canonical harmonic cluster, so a
 /// failure scenario found by a sweep can be pinned to disk and
-/// re-examined protocol by protocol.
+/// re-examined protocol by protocol. A spec naming a worker outside the
+/// cluster is an error, not a silent no-op.
 fn cmd_faults_plan(path: &str, opts: &Opts) -> Result<(), String> {
     use hetero_protocol::{alloc, coded, exchange, fault_exec, replan, ExchangePolicy};
 
@@ -409,6 +410,16 @@ fn cmd_faults_plan(path: &str, opts: &Opts) -> Result<(), String> {
 
     let params = Params::paper_table1();
     let n = 8;
+    // The executors ignore a spec for a worker they do not have, so a
+    // typo would silently replay a milder plan.
+    for (k, spec) in faults.specs().iter().enumerate() {
+        if let Some(worker) = spec.worker().filter(|&w| w >= n) {
+            return Err(format!(
+                "{path}: spec {k} names worker {worker}, but the replay cluster has workers 0..{}",
+                n - 1
+            ));
+        }
+    }
     let lifespan = 600.0;
     let margin = 0.1;
     let profile = hetero_core::Profile::harmonic(n);

@@ -9,11 +9,13 @@
 //! * [`FaultSpec`] — one validated fault: a permanent worker crash, a
 //!   multiplicative slowdown over an interval, a transient channel-rate
 //!   perturbation, or result-message loss requiring retransmission.
-//! * [`FaultPlan`] — an ordered set of specs with O(specs) point queries
-//!   (`crash_time`, `slowdown_factor`, `channel_factor`, `result_losses`)
-//!   shaped so the *fault-free* path performs zero extra float
-//!   operations — which is what lets `execute_with_faults` with an empty
-//!   plan stay bit-identical to the pristine executor.
+//! * [`FaultPlan`] — an ordered set of specs, compiled once into
+//!   per-worker tables so its point queries (`crash_time`,
+//!   `slowdown_factor`, `channel_factor`, `result_losses`) binary-search
+//!   one worker's entries instead of scanning every spec. They are shaped
+//!   so the *fault-free* path performs zero extra float operations —
+//!   which is what lets `execute_with_faults` with an empty plan stay
+//!   bit-identical to the pristine executor.
 //! * [`FaultConfig`] / [`FaultPlan::sample`] — seeded random plan
 //!   generation (crash probability × straggler severity × loss rate),
 //!   deterministic under a `u64` seed and fingerprintable

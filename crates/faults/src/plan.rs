@@ -7,25 +7,100 @@ use crate::spec::{FaultError, FaultSpec};
 
 /// An ordered, validated collection of faults for one execution.
 ///
-/// Queries are O(specs) scans — plans are tiny (a handful of faults per
-/// run) and the executor calls them at event boundaries, not per float op.
+/// The spec list defines the plan: [`specs`](FaultPlan::specs),
+/// [`to_json`](FaultPlan::to_json), [`fingerprint`](FaultPlan::fingerprint)
+/// and equality all read it. [`new`](FaultPlan::new) also compiles it
+/// into one table per query — crashes, slowdown windows, channel windows
+/// and result losses — each stably sorted by worker. The point queries
+/// the executors call at every event binary-search the one table they
+/// need for the worker's run of specs, instead of scanning every spec: a
+/// 64-worker sampled plan holds a few dozen specs, and a query for a
+/// kind the plan lacks (no jitter, say) finds an empty table. Tables are
+/// sorted by worker id, never indexed by it, so a plan naming a huge
+/// worker id costs no more than any other.
+///
 /// Every query is shaped so that the *absence* of a fault costs zero
 /// floating-point operations: `slowdown_factor`/`channel_factor` return
 /// `None` rather than a neutral `1.0`, and `crash_time` returns `None`
 /// rather than `f64::INFINITY`. This is what keeps the empty-plan
-/// execution bit-identical to the fault-free executor.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// execution bit-identical to the fault-free executor. The stable sort
+/// keeps each worker's run in spec order, so overlapping windows
+/// multiply, equal crash times tie-break and loss counts saturate
+/// exactly as a scan of the spec list would.
+#[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     specs: Vec<FaultSpec>,
+    /// Crash specs, stably sorted by worker.
+    crashes: Vec<FaultSpec>,
+    /// Slowdown specs, stably sorted by worker.
+    slowdowns: Vec<FaultSpec>,
+    /// Channel-jitter specs, in spec order.
+    jitter: Vec<FaultSpec>,
+    /// Result-loss specs, stably sorted by worker.
+    losses: Vec<FaultSpec>,
+}
+
+/// Sort key of the compiled tables: the table a spec belongs to, then
+/// its worker (channel jitter names none, so its table keeps spec
+/// order).
+fn table_key(spec: &FaultSpec) -> (u8, usize) {
+    match *spec {
+        FaultSpec::Crash { worker, .. } => (0, worker),
+        FaultSpec::Slowdown { worker, .. } => (1, worker),
+        FaultSpec::ChannelJitter { .. } => (2, 0),
+        FaultSpec::ResultLoss { worker, .. } => (3, worker),
+    }
+}
+
+/// The run of `table` (sorted by worker) that names `worker`, in spec
+/// order.
+fn run_of(table: &[FaultSpec], worker: usize) -> &[FaultSpec] {
+    let (_, rest) = table.split_at(table.partition_point(|s| table_key(s).1 < worker));
+    let (run, _) = rest.split_at(rest.partition_point(|s| table_key(s).1 == worker));
+    run
+}
+
+/// Folds an active window's `factor` into the running product: `None`
+/// until the first active window, so no window means no float op.
+fn compound(product: Option<f64>, factor: f64) -> Option<f64> {
+    Some(match product {
+        Some(c) => c * factor,
+        None => factor,
+    })
+}
+
+impl PartialEq for FaultPlan {
+    /// Plans are equal when their spec lists are; the compiled tables
+    /// are a function of the specs.
+    fn eq(&self, other: &Self) -> bool {
+        self.specs == other.specs
+    }
 }
 
 impl FaultPlan {
-    /// Builds a plan from specs, validating each one.
+    /// Builds a plan from specs, validating each one and compiling the
+    /// query tables.
     pub fn new(specs: Vec<FaultSpec>) -> Result<Self, FaultError> {
         for spec in &specs {
             spec.validate()?;
         }
-        Ok(FaultPlan { specs })
+        // One stable sort by (table, worker), then cut at the table
+        // boundaries: every table stays in spec order within a worker.
+        let mut sorted = specs.clone();
+        sorted.sort_by_key(table_key);
+        let mut cut =
+            |table: u8| sorted.split_off(sorted.partition_point(|s| table_key(s).0 < table));
+        let losses = cut(3);
+        let jitter = cut(2);
+        let slowdowns = cut(1);
+        let crashes = sorted;
+        Ok(FaultPlan {
+            specs,
+            crashes,
+            slowdowns,
+            jitter,
+            losses,
+        })
     }
 
     /// The fault-free plan.
@@ -46,9 +121,9 @@ impl FaultPlan {
     /// Earliest crash time for `worker`, or `None` if it never crashes.
     pub fn crash_time(&self, worker: usize) -> Option<f64> {
         let mut earliest: Option<f64> = None;
-        for spec in &self.specs {
-            if let FaultSpec::Crash { worker: w, at } = *spec {
-                if w == worker && earliest.is_none_or(|t| at < t) {
+        for spec in run_of(&self.crashes, worker) {
+            if let FaultSpec::Crash { at, .. } = *spec {
+                if earliest.is_none_or(|t| at < t) {
                     earliest = Some(at);
                 }
             }
@@ -56,24 +131,27 @@ impl FaultPlan {
         earliest
     }
 
+    /// `true` when any slowdown window names `worker`, whether or not it
+    /// is active yet.
+    pub fn has_slowdown(&self, worker: usize) -> bool {
+        !run_of(&self.slowdowns, worker).is_empty()
+    }
+
     /// Combined slowdown multiplier for a phase of `worker` starting at
     /// `at`, or `None` when no slowdown window is active (so the
     /// fault-free path multiplies nothing).
     pub fn slowdown_factor(&self, worker: usize, at: f64) -> Option<f64> {
         let mut combined: Option<f64> = None;
-        for spec in &self.specs {
+        for spec in run_of(&self.slowdowns, worker) {
             if let FaultSpec::Slowdown {
-                worker: w,
                 factor,
                 from,
                 until,
+                ..
             } = *spec
             {
-                if w == worker && from <= at && at < until {
-                    combined = Some(match combined {
-                        Some(c) => c * factor,
-                        None => factor,
-                    });
+                if from <= at && at < until {
+                    combined = compound(combined, factor);
                 }
             }
         }
@@ -84,7 +162,7 @@ impl FaultPlan {
     /// or `None` when the channel is unperturbed.
     pub fn channel_factor(&self, at: f64) -> Option<f64> {
         let mut combined: Option<f64> = None;
-        for spec in &self.specs {
+        for spec in &self.jitter {
             if let FaultSpec::ChannelJitter {
                 factor,
                 from,
@@ -92,10 +170,7 @@ impl FaultPlan {
             } = *spec
             {
                 if from <= at && at < until {
-                    combined = Some(match combined {
-                        Some(c) => c * factor,
-                        None => factor,
-                    });
+                    combined = compound(combined, factor);
                 }
             }
         }
@@ -106,11 +181,9 @@ impl FaultPlan {
     /// gets through (zero for unaffected workers).
     pub fn result_losses(&self, worker: usize) -> u32 {
         let mut total = 0u32;
-        for spec in &self.specs {
-            if let FaultSpec::ResultLoss { worker: w, count } = *spec {
-                if w == worker {
-                    total = total.saturating_add(count);
-                }
+        for spec in run_of(&self.losses, worker) {
+            if let FaultSpec::ResultLoss { count, .. } = *spec {
+                total = total.saturating_add(count);
             }
         }
         total

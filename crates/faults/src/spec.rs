@@ -55,6 +55,17 @@ pub enum FaultSpec {
 }
 
 impl FaultSpec {
+    /// The worker the spec names, or `None` for channel jitter (which
+    /// names none).
+    pub fn worker(&self) -> Option<usize> {
+        match *self {
+            FaultSpec::Crash { worker, .. }
+            | FaultSpec::Slowdown { worker, .. }
+            | FaultSpec::ResultLoss { worker, .. } => Some(worker),
+            FaultSpec::ChannelJitter { .. } => None,
+        }
+    }
+
     /// Validates the spec's numeric fields.
     pub fn validate(&self) -> Result<(), FaultError> {
         match *self {
@@ -252,6 +263,29 @@ mod tests {
         }
         .validate()
         .is_err());
+    }
+
+    #[test]
+    fn worker_is_named_by_every_kind_but_jitter() {
+        assert_eq!(FaultSpec::Crash { worker: 3, at: 0.0 }.worker(), Some(3));
+        let slow = FaultSpec::Slowdown {
+            worker: 4,
+            factor: 2.0,
+            from: 0.0,
+            until: 1.0,
+        };
+        assert_eq!(slow.worker(), Some(4));
+        let loss = FaultSpec::ResultLoss {
+            worker: 5,
+            count: 1,
+        };
+        assert_eq!(loss.worker(), Some(5));
+        let jitter = FaultSpec::ChannelJitter {
+            factor: 2.0,
+            from: 0.0,
+            until: 1.0,
+        };
+        assert_eq!(jitter.worker(), None);
     }
 
     #[test]

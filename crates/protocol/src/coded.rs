@@ -43,7 +43,7 @@ use hetero_sim::{EventQueue, SimTime, Trace, UnitResource};
 
 use crate::alloc::{fifo_plan, Plan};
 use crate::error::ProtocolError;
-use crate::exec::{channel_entity, worker_entity, SERVER};
+use crate::exec::{channel_entity, reserved_trace, worker_entity, SERVER};
 use crate::fault_exec::ExecError;
 use crate::labels::{
     Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
@@ -276,7 +276,7 @@ pub fn execute_coded(
         order: coded.plan.order.clone(),
         server: UnitResource::new(),
         channel: UnitResource::new(),
-        trace: Trace::new(),
+        trace: reserved_trace(n),
         arrivals: vec![None; n],
         faults,
         crash_by_pos: coded

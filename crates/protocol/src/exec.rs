@@ -41,6 +41,15 @@ pub fn channel_entity(n: usize) -> usize {
     n + 1
 }
 
+/// An empty trace sized for one execution over `n` workers: a
+/// fault-free run records seven spans per worker plus at most one
+/// channel wait each, and the slack covers the few spans faults add
+/// (crash markers, retransmissions, skips). Reserving up front keeps the
+/// span and parent vectors from growing by doubling mid-run.
+pub(crate) fn reserved_trace(n: usize) -> Trace {
+    Trace::with_capacity(8 * n + 8)
+}
+
 /// The protocol's events, keyed by startup position. Each event carries
 /// the span id of the activity that caused it (`cause`), so the trace
 /// records the full causality DAG: every span's parent is the span
@@ -126,7 +135,7 @@ pub fn execute(params: &Params, profile: &Profile, plan: &Plan) -> Execution {
         order: plan.order.clone(),
         server: UnitResource::new(),
         channel: UnitResource::new(),
-        trace: Trace::new(),
+        trace: reserved_trace(n),
         arrivals: vec![None; n],
     };
     let mut queue: EventQueue<Event> = EventQueue::new();

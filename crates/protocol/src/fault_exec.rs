@@ -43,7 +43,7 @@ use hetero_faults::FaultPlan;
 use hetero_sim::{EventQueue, GrantError, NonFiniteTime, SimTime, SpanError, Trace, UnitResource};
 
 use crate::alloc::Plan;
-use crate::exec::{channel_entity, worker_entity, SERVER};
+use crate::exec::{channel_entity, reserved_trace, worker_entity, SERVER};
 use crate::labels::{
     Label, Mark, COMPUTE, PACK, PACK_TO, RECV_FROM, UNPACK, WAIT_CHANNEL, XMIT_RESULT, XMIT_WORK,
 };
@@ -251,7 +251,7 @@ pub fn execute_with_faults(
         order: plan.order.clone(),
         server: UnitResource::new(),
         channel: UnitResource::new(),
-        trace: Trace::new(),
+        trace: reserved_trace(n),
         arrivals: vec![None; n],
         faults,
         crash_by_pos: plan.order.iter().map(|&i| faults.crash_time(i)).collect(),

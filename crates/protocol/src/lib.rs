@@ -40,6 +40,7 @@
 pub mod alloc;
 pub mod baseline;
 pub mod coded;
+mod detect;
 pub mod exchange;
 pub mod exec;
 pub mod fault_exec;

@@ -105,6 +105,15 @@ impl Trace {
         Self::default()
     }
 
+    /// An empty trace with room for `spans` spans (and their parent
+    /// links) before either vector grows.
+    pub fn with_capacity(spans: usize) -> Self {
+        Trace {
+            spans: Vec::with_capacity(spans),
+            parents: Vec::with_capacity(spans),
+        }
+    }
+
     /// Records one activity, rejecting spans that end before they start.
     /// `label` is a [`Label`] or a `&'static str` (a plain label).
     pub fn try_record(
