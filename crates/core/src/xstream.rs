@@ -24,119 +24,99 @@
 //!   segment summaries re-derives the fleet value from one edited
 //!   segment in O(log n) combines.
 //!
-//! The scan keeps workers in fixed-capacity segments of
-//! [`SEGMENT_CAPACITY`] elements. Each segment stores Neumaier-compensated
-//! *prefix snapshots* of its local sum and prefix product — appending is
-//! O(1), truncating its tail is O(1), and rewriting an interior slot
-//! re-consolidates only the local suffix (lazy re-consolidation: at most
-//! `SEGMENT_CAPACITY` fused Neumaier steps, never the whole fleet). A
-//! power-of-two segment tree over the `(sum, prod)` summaries then folds
-//! the global value.
+//! Workers sit in one flat slab, in *scan order*. Inserts append and
+//! deletes backfill from the global tail, so every segment of
+//! [`SEGMENT_CAPACITY`] positions except the last is always full:
+//! segment `i` is simply positions `[64i, min(64i + 64, n))`. Each
+//! position's `Slot` holds its `d_i`, `r_i` and the Neumaier-compensated
+//! recurrence state *after* it — the segment-local sum and prefix
+//! product exactly as
+//! [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) would leave
+//! them. The state before a position is the identity at a segment start
+//! and the previous slot's state otherwise. Appending is one fused
+//! Neumaier step, truncating the tail is O(1), and rewriting an interior
+//! position re-consolidates only the rest of its segment (at most
+//! `SEGMENT_CAPACITY` steps, never the whole fleet). The ρ-values live
+//! in their own array, so [`ChurnScan::to_rhos`] is one copy. A
+//! power-of-two segment tree over the `(sum, prod)` segment summaries
+//! then folds the global value.
+//!
+//! [`WorkerId`] handles are generational: a handle table maps the
+//! handle's index to the worker's position, and a per-position owner
+//! index lets a backfill move repoint it. A deleted worker's table entry
+//! goes on a free list for the next insert, with its generation bumped,
+//! so the table never holds more entries than the peak live fleet and a
+//! stale handle is rejected rather than aliasing its slot's new tenant.
 //!
 //! The result is *not* bit-identical to a flat
 //! [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) pass — the
 //! segment combines associate the sum differently — but it stays within
 //! the workspace-wide ≤ 1e-12 relative bound of a from-scratch rebuild
 //! under arbitrarily long churn sequences (property-tested, plus
-//! exact-rational Ratio oracle spot checks in the integration suite).
+//! exact-rational Ratio oracle spot checks in the integration suite). It
+//! is a deterministic function of the operation sequence, pinned bit for
+//! bit by `tests/golden/churn.txt`.
 
 use crate::numeric::KahanSum;
 use crate::{ModelError, Params, Profile};
 
-/// Workers per segment. Deletions re-consolidate at most this many
-/// Neumaier steps, so the constant bounds the "O(1)-ish" local cost while
-/// `n / SEGMENT_CAPACITY` summaries keep the tree shallow.
+/// Positions per segment. Interior rewrites re-consolidate at most this
+/// many Neumaier steps, so the constant bounds the "O(1)-ish" local cost
+/// while `n / SEGMENT_CAPACITY` summaries keep the tree shallow. The
+/// segment boundaries decide how the sum associates, so changing the
+/// constant changes the bits of [`ChurnScan::x`].
 pub const SEGMENT_CAPACITY: usize = 64;
 
-/// A stable handle naming one worker inside a [`ChurnScan`], valid until
-/// that worker is deleted. Handles survive the internal slot moves that
-/// deletions cause.
+/// A handle naming one worker inside a [`ChurnScan`], valid until that
+/// worker is deleted. Handles survive the internal moves that deletions
+/// cause. The raw value is `generation << 32 | index`: a deleted
+/// worker's index is reused by a later insert under a new generation,
+/// so an old handle never names the new worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WorkerId(u64);
 
 impl WorkerId {
+    fn new(index: u32, generation: u32) -> Self {
+        WorkerId((u64::from(generation) << 32) | u64::from(index))
+    }
+
+    fn index(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+
     /// The raw handle value (diagnostic display only).
     pub fn get(self) -> u64 {
         self.0
     }
 }
 
-/// One fixed-capacity block of workers with prefix snapshots of the
-/// fused Neumaier recurrence, exactly as
-/// [`x_measure_of_rhos`](crate::xmeasure::x_measure_of_rhos) would leave
-/// them after each local element.
-#[derive(Debug, Clone, Default)]
-struct Segment {
-    ids: Vec<u64>,
-    rhos: Vec<f64>,
-    d: Vec<f64>,
-    r: Vec<f64>,
-    /// `sums[k]` = compensated local sum after elements `0..k`
-    /// (`sums[0]` is the empty accumulator).
-    sums: Vec<KahanSum>,
-    /// `prods[k]` = local prefix product after elements `0..k`
-    /// (`prods[0] = 1`).
-    prods: Vec<f64>,
+/// One position of the slab: the worker's Theorem 2 terms and the
+/// segment-local recurrence state after it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    d: f64,
+    r: f64,
+    /// Compensated segment-local sum through this position.
+    sum: KahanSum,
+    /// Segment-local prefix product through this position.
+    prod: f64,
 }
 
-impl Segment {
-    fn new() -> Self {
-        Segment {
-            ids: Vec::with_capacity(SEGMENT_CAPACITY),
-            rhos: Vec::with_capacity(SEGMENT_CAPACITY),
-            d: Vec::with_capacity(SEGMENT_CAPACITY),
-            r: Vec::with_capacity(SEGMENT_CAPACITY),
-            sums: vec![KahanSum::new()],
-            prods: vec![1.0],
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.ids.len()
-    }
-
-    /// O(1) append: one fused Neumaier step extends the snapshots.
-    fn push(&mut self, id: u64, rho: f64, d: f64, r: f64) {
-        let k = self.len();
-        self.ids.push(id);
-        self.rhos.push(rho);
-        self.d.push(d);
-        self.r.push(r);
-        let mut sum = self.sums[k];
-        sum.add(self.prods[k] / d);
-        self.sums.push(sum);
-        self.prods.push(self.prods[k] * r);
-    }
-
-    /// O(1) tail removal: truncating restores the previous snapshots.
-    fn pop(&mut self) -> (u64, f64) {
-        // hetero-check: allow(expect) — callers only pop non-empty segments (the scan's tail invariant)
-        let id = self.ids.pop().expect("pop on empty segment");
-        let rho = self.rhos.pop().unwrap_or(0.0);
-        self.d.pop();
-        self.r.pop();
-        self.sums.pop();
-        self.prods.pop();
-        (id, rho)
-    }
-
-    /// Lazy re-consolidation: recompute the snapshot suffix from `slot`
-    /// after an interior overwrite — at most [`SEGMENT_CAPACITY`] steps.
-    fn reconsolidate_from(&mut self, slot: usize) {
-        for k in slot..self.len() {
-            let mut sum = self.sums[k];
-            sum.add(self.prods[k] / self.d[k]);
-            self.sums[k + 1] = sum;
-            self.prods[k + 1] = self.prods[k] * self.r[k];
-        }
-    }
-
-    /// The `(X, S)` monoid summary of this segment.
-    fn summary(&self) -> (f64, f64) {
-        let k = self.len();
-        (self.sums[k].value(), self.prods[k])
-    }
+/// A handle-table entry.
+#[derive(Debug, Clone, Copy)]
+struct Handle {
+    /// The worker's position, or [`VACANT`] while the entry is free.
+    pos: u32,
+    /// The generation a live handle for this entry carries.
+    generation: u32,
 }
+
+/// [`Handle::pos`] of a free (or retired) table entry.
+const VACANT: u32 = u32::MAX;
 
 /// The `(sum, prod)` combine over a concatenation: right segment's terms
 /// all carry the left segment's residual product.
@@ -157,15 +137,21 @@ pub struct ChurnScan {
     a: f64,
     b: f64,
     td: f64,
-    segs: Vec<Segment>,
+    /// Per position, in scan order.
+    slots: Vec<Slot>,
+    /// Per position: the worker's ρ.
+    rhos: Vec<f64>,
+    /// Per position: the worker's handle-table index.
+    owner: Vec<u32>,
     /// Segment tree over segment summaries: `tree[cap + i]` is segment
     /// `i`'s summary, `tree[1]` the fleet's `(X, S)`.
     tree: Vec<(f64, f64)>,
-    /// Leaf capacity of `tree` (power of two ≥ `segs.len()`).
+    /// Leaf capacity of `tree` (power of two ≥ the segment count).
     cap: usize,
-    /// Handle → (segment, slot); `None` after deletion.
-    loc: Vec<Option<(u32, u32)>>,
-    n: usize,
+    /// Handle index → the worker's position and live generation.
+    handles: Vec<Handle>,
+    /// Free handle-table indices, reused last-freed first.
+    free: Vec<u32>,
 }
 
 impl ChurnScan {
@@ -175,11 +161,13 @@ impl ChurnScan {
             a: params.a(),
             b: params.b(),
             td: params.tau_delta(),
-            segs: vec![Segment::new()],
+            slots: Vec::new(),
+            rhos: Vec::new(),
+            owner: Vec::new(),
             tree: vec![IDENTITY; 2],
             cap: 1,
-            loc: Vec::new(),
-            n: 0,
+            handles: Vec::new(),
+            free: Vec::new(),
         }
     }
 
@@ -202,12 +190,12 @@ impl ChurnScan {
 
     /// Fleet size.
     pub fn n(&self) -> usize {
-        self.n
+        self.rhos.len()
     }
 
     /// `true` when no workers remain.
     pub fn is_empty(&self) -> bool {
-        self.n == 0
+        self.rhos.is_empty()
     }
 
     /// The live `X` of the current fleet (0 for an empty fleet) — an O(1)
@@ -224,48 +212,52 @@ impl ChurnScan {
 
     /// The current ρ of a worker.
     pub fn rho_of(&self, id: WorkerId) -> Result<f64, ModelError> {
-        let (si, slot) = self.locate(id)?;
-        Ok(self.segs[si].rhos[slot])
+        let pos = self.locate(id)?;
+        Ok(self.rhos[pos])
     }
 
     /// The current fleet's speeds in scan order (tests compare this
     /// arrangement against a from-scratch rebuild; by Theorem 1(2) the
     /// order itself carries no meaning).
     pub fn to_rhos(&self) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n);
-        for seg in &self.segs {
-            out.extend_from_slice(&seg.rhos);
-        }
-        out
+        self.rhos.clone()
     }
 
-    /// Adds a worker, returning its stable handle. Amortized O(1) local
-    /// work (one fused Neumaier append) plus an O(log n) tree path.
+    /// Adds a worker, returning its handle. Amortized O(1) local work
+    /// (one fused Neumaier append) plus an O(log n) tree path.
     pub fn insert(&mut self, rho: f64) -> Result<WorkerId, ModelError> {
-        if !(rho.is_finite() && rho > 0.0) {
-            return Err(ModelError::InvalidRho {
-                index: self.n,
-                value: rho,
-            });
-        }
+        let pos = self.n();
+        let (d, r) = self.terms(rho, pos)?;
         hetero_obs::counters::XSCAN_INSERT.bump();
-        let id = self.loc.len() as u64;
-        // hetero-check: allow(expect) — the scan always keeps at least one (possibly empty) segment
-        if self.segs.last().expect("segment list is never empty").len() == SEGMENT_CAPACITY {
-            self.segs.push(Segment::new());
-            if self.segs.len() > self.cap {
-                self.grow_tree();
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => {
+                self.handles.push(Handle {
+                    pos: VACANT,
+                    generation: 0,
+                });
+                (self.handles.len() - 1) as u32
             }
+        };
+        let handle = &mut self.handles[index as usize];
+        handle.pos = pos as u32;
+        let id = WorkerId::new(index, handle.generation);
+        self.slots.push(Slot {
+            d,
+            r,
+            sum: KahanSum::new(),
+            prod: 1.0,
+        });
+        self.rhos.push(rho);
+        self.owner.push(index);
+        self.reconsolidate_from(pos);
+        let seg = pos / SEGMENT_CAPACITY;
+        if seg >= self.cap {
+            self.grow_tree();
+        } else {
+            self.refresh_leaf(seg);
         }
-        let si = self.segs.len() - 1;
-        let slot = self.segs[si].len();
-        let denom = self.b * rho + self.a;
-        let ratio = (self.b * rho + self.td) / denom;
-        self.segs[si].push(id, rho, denom, ratio);
-        self.loc.push(Some((si as u32, slot as u32)));
-        self.n += 1;
-        self.refresh_leaf(si);
-        Ok(WorkerId(id))
+        Ok(id)
     }
 
     /// Removes a worker. The hole is backfilled by the fleet's tail
@@ -273,74 +265,113 @@ impl ChurnScan {
     /// segment suffix re-consolidates: O([`SEGMENT_CAPACITY`]) local work
     /// plus O(log n) tree updates.
     pub fn delete(&mut self, id: WorkerId) -> Result<(), ModelError> {
-        let (si, slot) = self.locate(id)?;
+        let pos = self.locate(id)?;
         hetero_obs::counters::XSCAN_DELETE.bump();
-        self.loc[id.0 as usize] = None;
-        self.n -= 1;
-        let last = self.segs.len() - 1;
-        let tail_slot = self.segs[last].len() - 1;
-        if si == last && slot == tail_slot {
-            // Deleting the global tail: a pure truncation.
-            self.segs[last].pop();
-        } else {
-            let (tid, trho) = self.segs[last].pop();
-            let seg = &mut self.segs[si];
-            seg.ids[slot] = tid;
-            seg.rhos[slot] = trho;
-            seg.d[slot] = self.b * trho + self.a;
-            seg.r[slot] = (self.b * trho + self.td) / seg.d[slot];
-            seg.reconsolidate_from(slot);
-            self.loc[tid as usize] = Some((si as u32, slot as u32));
-            self.refresh_leaf(si);
+        self.release(id);
+        // hetero-check: allow(expect) — `locate` succeeded, so the fleet is non-empty
+        let tail_slot = self.slots.pop().expect("a live worker exists");
+        let tail_rho = self.rhos.pop().unwrap_or(0.0);
+        let tail_owner = self.owner.pop().unwrap_or(VACANT);
+        let tail = self.n();
+        let tail_seg = tail / SEGMENT_CAPACITY;
+        if pos != tail {
+            self.rhos[pos] = tail_rho;
+            self.owner[pos] = tail_owner;
+            self.handles[tail_owner as usize].pos = pos as u32;
+            self.slots[pos] = tail_slot;
+            self.reconsolidate_from(pos);
+            if pos / SEGMENT_CAPACITY != tail_seg {
+                self.refresh_leaf(pos / SEGMENT_CAPACITY);
+            }
         }
-        if self.segs[last].len() == 0 && self.segs.len() > 1 {
-            self.segs.pop();
-            self.tree_set(last, IDENTITY);
-        } else {
-            self.refresh_leaf(last);
-        }
+        self.refresh_leaf(tail_seg);
         Ok(())
     }
 
     /// Rescales one worker's speed in place: a local suffix
     /// re-consolidation plus an O(log n) tree path. The churn-scan
     /// counterpart of [`XScan::commit`](crate::xengine::XScan::commit),
-    /// but O(log n) instead of O(n).
+    /// but O(log n) instead of O(n). An invalid ρ is reported at the
+    /// worker's position in [`to_rhos`](ChurnScan::to_rhos).
     pub fn replace(&mut self, id: WorkerId, rho: f64) -> Result<(), ModelError> {
-        let (si, slot) = self.locate(id)?;
-        if !(rho.is_finite() && rho > 0.0) {
-            return Err(ModelError::InvalidRho {
-                index: slot,
-                value: rho,
-            });
-        }
+        let pos = self.locate(id)?;
+        let (d, r) = self.terms(rho, pos)?;
         hetero_obs::counters::XSCAN_REPLACE.bump();
-        let seg = &mut self.segs[si];
-        seg.rhos[slot] = rho;
-        seg.d[slot] = self.b * rho + self.a;
-        seg.r[slot] = (self.b * rho + self.td) / seg.d[slot];
-        seg.reconsolidate_from(slot);
-        self.refresh_leaf(si);
+        self.rhos[pos] = rho;
+        let slot = &mut self.slots[pos];
+        slot.d = d;
+        slot.r = r;
+        self.reconsolidate_from(pos);
+        self.refresh_leaf(pos / SEGMENT_CAPACITY);
         Ok(())
     }
 
-    fn locate(&self, id: WorkerId) -> Result<(usize, usize), ModelError> {
-        match self.loc.get(id.0 as usize).copied().flatten() {
-            Some((si, slot)) => Ok((si as usize, slot as usize)),
-            None => Err(ModelError::IndexOutOfRange {
+    /// Validates `rho` (reported at `pos`) and returns its `(d, r)`.
+    fn terms(&self, rho: f64, pos: usize) -> Result<(f64, f64), ModelError> {
+        if !(rho.is_finite() && rho > 0.0) {
+            return Err(ModelError::InvalidRho {
+                index: pos,
+                value: rho,
+            });
+        }
+        let d = self.b * rho + self.a;
+        Ok((d, (self.b * rho + self.td) / d))
+    }
+
+    /// The live worker's position, or `IndexOutOfRange` for a handle
+    /// that was never issued or whose worker is gone.
+    fn locate(&self, id: WorkerId) -> Result<usize, ModelError> {
+        match self.handles.get(id.index()) {
+            Some(h) if h.pos != VACANT && h.generation == id.generation() => Ok(h.pos as usize),
+            _ => Err(ModelError::IndexOutOfRange {
                 index: id.0 as usize,
-                n: self.n,
+                n: self.n(),
             }),
         }
     }
 
-    fn refresh_leaf(&mut self, si: usize) {
-        let summary = self.segs[si].summary();
-        self.tree_set(si, summary);
+    /// Frees a live handle's table entry under a new generation. An entry
+    /// whose generation would wrap is retired instead, so no handle ever
+    /// comes back to life.
+    fn release(&mut self, id: WorkerId) {
+        let handle = &mut self.handles[id.index()];
+        handle.pos = VACANT;
+        if let Some(next) = handle.generation.checked_add(1) {
+            handle.generation = next;
+            self.free.push(id.index() as u32);
+        }
     }
 
-    fn tree_set(&mut self, leaf: usize, summary: (f64, f64)) {
-        let mut i = self.cap + leaf;
+    /// Lazy re-consolidation: recompute the recurrence state from `pos`
+    /// to the end of its segment after a write at `pos` — at most
+    /// [`SEGMENT_CAPACITY`] fused Neumaier steps.
+    fn reconsolidate_from(&mut self, pos: usize) {
+        let end = (pos / SEGMENT_CAPACITY + 1) * SEGMENT_CAPACITY;
+        let (head, rest) = self.slots.split_at_mut(pos);
+        let (mut sum, mut prod) = match head.last() {
+            Some(prev) if !pos.is_multiple_of(SEGMENT_CAPACITY) => (prev.sum, prev.prod),
+            _ => (KahanSum::new(), 1.0),
+        };
+        for slot in rest.iter_mut().take(end - pos) {
+            sum.add(prod / slot.d);
+            prod *= slot.r;
+            slot.sum = sum;
+            slot.prod = prod;
+        }
+    }
+
+    /// Segment `seg`'s `(X, S)` summary ([`IDENTITY`] when empty).
+    fn summary(&self, seg: usize) -> (f64, f64) {
+        let end = ((seg + 1) * SEGMENT_CAPACITY).min(self.n());
+        match self.slots.get(seg * SEGMENT_CAPACITY..end) {
+            Some([.., last]) => (last.sum.value(), last.prod),
+            _ => IDENTITY,
+        }
+    }
+
+    fn refresh_leaf(&mut self, seg: usize) {
+        let summary = self.summary(seg);
+        let mut i = self.cap + seg;
         self.tree[i] = summary;
         while i > 1 {
             i /= 2;
@@ -351,11 +382,12 @@ impl ChurnScan {
     /// Doubles the tree's leaf capacity and refolds every summary —
     /// O(segments), amortized O(1) per insert across the growth schedule.
     fn grow_tree(&mut self) {
-        self.cap = self.segs.len().next_power_of_two();
+        let segs = self.n().div_ceil(SEGMENT_CAPACITY);
+        self.cap = segs.next_power_of_two();
         self.tree.clear();
         self.tree.resize(2 * self.cap, IDENTITY);
-        for (i, seg) in self.segs.iter().enumerate() {
-            self.tree[self.cap + i] = seg.summary();
+        for seg in 0..segs {
+            self.tree[self.cap + seg] = self.summary(seg);
         }
         for i in (1..self.cap).rev() {
             self.tree[i] = combine(self.tree[2 * i], self.tree[2 * i + 1]);
@@ -476,6 +508,44 @@ mod tests {
             Err(ModelError::InvalidRho { .. })
         ));
         assert!(ChurnScan::from_rhos(&p, &[1.0, 0.0]).is_err());
+    }
+
+    #[test]
+    fn replace_reports_the_workers_position_for_an_invalid_rho() {
+        let p = params();
+        let (mut scan, ids) = ChurnScan::from_profile(&p, &Profile::harmonic(200));
+        // Position 100 is slot 36 of segment 1; the error names 100.
+        assert!(matches!(
+            scan.replace(ids[100], f64::NAN),
+            Err(ModelError::InvalidRho { index: 100, .. })
+        ));
+        // After a backfill the tail worker sits at the deleted position.
+        scan.delete(ids[70]).unwrap();
+        assert_eq!(scan.to_rhos()[70], scan.rho_of(ids[199]).unwrap());
+        assert!(matches!(
+            scan.replace(ids[199], 0.0),
+            Err(ModelError::InvalidRho { index: 70, .. })
+        ));
+    }
+
+    #[test]
+    fn the_handle_table_stays_within_the_peak_live_count() {
+        let p = params();
+        let (mut scan, mut live) = ChurnScan::from_profile(&p, &Profile::harmonic(64));
+        let mut peak = scan.n();
+        for i in 0..100_000usize {
+            live.push(scan.insert(1.0 / (1 + i % 13) as f64).unwrap());
+            peak = peak.max(scan.n());
+            let victim = live.swap_remove(i.wrapping_mul(7919) % live.len());
+            scan.delete(victim).unwrap();
+            assert_eq!(scan.n(), 64);
+        }
+        assert!(
+            scan.handles.len() <= peak,
+            "{} handle entries for a peak of {peak} live workers",
+            scan.handles.len()
+        );
+        assert_matches_rebuild(&scan, &p);
     }
 
     #[test]

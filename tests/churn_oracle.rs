@@ -6,7 +6,12 @@
 //!   [`ChurnScan`] must track the flat `x_measure_of_rhos` of its live
 //!   membership to ≤ 1e-12 relative after *every* operation — the scan
 //!   reassociates (segmented prefix scans, swap-with-tail deletes), so
-//!   bit-identity is not the contract, but tight agreement is.
+//!   bit-identity is not the contract, but tight agreement is. Fleets
+//!   reach five segments of 64, and a separate property drains a fleet
+//!   to empty and refills it.
+//! * **Stale handles.** A deleted worker's handle stays dead after an
+//!   insert reuses its table index: `delete`, `replace` and `rho_of`
+//!   all reject it.
 //! * **Ratio-oracle spot checks.** The final churned state must agree
 //!   with the mathematically exact X of its membership via
 //!   `hetero-exact`'s `Ratio` arithmetic — not merely with another f64
@@ -25,8 +30,8 @@
 use hetero_core::hcompress::SummaryTree;
 use hetero_core::selection::{best_k_subset_gray, best_k_subset_with_stats};
 use hetero_core::xmeasure::x_measure_of_rhos;
-use hetero_core::xstream::{ChurnScan, WorkerId};
-use hetero_core::{Params, Profile};
+use hetero_core::xstream::{ChurnScan, WorkerId, SEGMENT_CAPACITY};
+use hetero_core::{ModelError, Params, Profile};
 use hetero_exact::Ratio;
 use hetero_symfunc::exact_model::{x_exact, ExactParams};
 use proptest::prelude::*;
@@ -68,6 +73,25 @@ fn exact_x_of(params: &Params, rhos: &[f64]) -> f64 {
     x_exact(&ep, &exact).to_f64()
 }
 
+/// Applies one churn step to the scan and its live-handle list.
+fn apply(scan: &mut ChurnScan, live: &mut Vec<WorkerId>, op: &Churn) {
+    match *op {
+        Churn::Insert(rho) => {
+            live.push(scan.insert(rho).expect("valid rho"));
+        }
+        Churn::Delete(i) => {
+            if live.len() > 1 {
+                let id = live.swap_remove(i % live.len());
+                scan.delete(id).expect("live handle");
+            }
+        }
+        Churn::Replace(i, rho) => {
+            let id = live[i % live.len()];
+            scan.replace(id, rho).expect("live handle");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -77,24 +101,9 @@ proptest! {
         ops in prop::collection::vec(churn_step(), 1..40),
     ) {
         let params = Params::paper_table1();
-        let (mut scan, ids) = ChurnScan::from_rhos(&params, &initial).expect("valid speeds");
-        let mut live: Vec<WorkerId> = ids;
+        let (mut scan, mut live) = ChurnScan::from_rhos(&params, &initial).expect("valid speeds");
         for op in &ops {
-            match *op {
-                Churn::Insert(rho) => {
-                    live.push(scan.insert(rho).expect("valid rho"));
-                }
-                Churn::Delete(i) => {
-                    if live.len() > 1 {
-                        let id = live.swap_remove(i % live.len());
-                        scan.delete(id).expect("live handle");
-                    }
-                }
-                Churn::Replace(i, rho) => {
-                    let id = live[i % live.len()];
-                    scan.replace(id, rho).expect("live handle");
-                }
-            }
+            apply(&mut scan, &mut live, op);
             let flat = x_measure_of_rhos(&params, &scan.to_rhos());
             prop_assert!(
                 rel_err(scan.x(), flat) <= 1e-12,
@@ -112,6 +121,72 @@ proptest! {
             "final: scan {} vs exact {exact}",
             scan.x()
         );
+    }
+
+    #[test]
+    fn churn_across_many_segments_tracks_the_flat_rebuild(
+        // Up to five segments of 64: tail backfills cross segment
+        // boundaries and the summary tree grows while the fleet loads.
+        // (Fleets this large make the exact oracle too slow, so the
+        // small-fleet property above keeps it.)
+        initial in prop::collection::vec(dyadic_rho(), 1..5 * SEGMENT_CAPACITY),
+        ops in prop::collection::vec(churn_step(), 1..160),
+    ) {
+        let params = Params::paper_table1();
+        let (mut scan, mut live) = ChurnScan::from_rhos(&params, &initial).expect("valid speeds");
+        for op in &ops {
+            apply(&mut scan, &mut live, op);
+            let flat = x_measure_of_rhos(&params, &scan.to_rhos());
+            prop_assert!(
+                rel_err(scan.x(), flat) <= 1e-12,
+                "after {op:?} at n = {}: scan {} vs rebuild {flat}",
+                live.len(),
+                scan.x()
+            );
+        }
+    }
+
+    #[test]
+    fn draining_to_empty_and_refilling_tracks_the_rebuild(
+        initial in prop::collection::vec(dyadic_rho(), 1..5 * SEGMENT_CAPACITY),
+        picks in prop::collection::vec(any::<prop::sample::Index>(), 5 * SEGMENT_CAPACITY),
+        refill in prop::collection::vec(dyadic_rho(), 1..3 * SEGMENT_CAPACITY),
+    ) {
+        let params = Params::paper_table1();
+        let (mut scan, mut live) = ChurnScan::from_rhos(&params, &initial).expect("valid speeds");
+        let gone = live.clone();
+        // Delete in a drawn order, so interior and boundary positions
+        // both go, until the fleet is empty.
+        for pick in picks.iter().cycle() {
+            if live.is_empty() {
+                break;
+            }
+            let id = live.swap_remove(pick.index(live.len()));
+            scan.delete(id).expect("live handle");
+            if !live.is_empty() {
+                let flat = x_measure_of_rhos(&params, &scan.to_rhos());
+                prop_assert!(
+                    rel_err(scan.x(), flat) <= 1e-12,
+                    "draining at n = {}: scan {} vs rebuild {flat}",
+                    live.len(),
+                    scan.x()
+                );
+            }
+        }
+        prop_assert!(scan.is_empty());
+        prop_assert_eq!(scan.x(), 0.0);
+        prop_assert_eq!(scan.residual_product(), 1.0);
+        for &rho in &refill {
+            live.push(scan.insert(rho).expect("valid rho"));
+        }
+        prop_assert_eq!(scan.to_rhos(), refill.clone());
+        let flat = x_measure_of_rhos(&params, &refill);
+        prop_assert!(rel_err(scan.x(), flat) <= 1e-12, "refilled: scan {} vs rebuild {flat}", scan.x());
+        // Every drained handle stays dead, even where the refill reused
+        // its table entry.
+        for id in gone {
+            prop_assert!(scan.rho_of(id).is_err());
+        }
     }
 
     #[test]
@@ -168,4 +243,25 @@ proptest! {
             fleet.x()
         );
     }
+}
+
+#[test]
+fn a_stale_handle_is_rejected_after_its_index_is_reused() {
+    let params = Params::paper_table1();
+    let (mut scan, ids) = ChurnScan::from_rhos(&params, &[1.0, 0.5, 0.25]).expect("valid speeds");
+    let old = ids[1];
+    scan.delete(old).expect("live handle");
+    let new = scan.insert(0.75).expect("valid rho");
+    // The insert reused the freed handle index under a new generation.
+    assert_eq!(new.get() as u32, old.get() as u32);
+    assert_ne!(new, old);
+    let stale = |r: Result<(), ModelError>| matches!(r, Err(ModelError::IndexOutOfRange { .. }));
+    assert!(stale(scan.delete(old)));
+    assert!(stale(scan.replace(old, 0.125)));
+    assert!(stale(scan.rho_of(old).map(|_| ())));
+    // The new tenant and the rest of the fleet are untouched.
+    assert_eq!(scan.rho_of(new).expect("live handle"), 0.75);
+    assert_eq!(scan.n(), 3);
+    let flat = x_measure_of_rhos(&params, &scan.to_rhos());
+    assert!(rel_err(scan.x(), flat) <= 1e-12);
 }
